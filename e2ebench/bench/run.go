@@ -10,7 +10,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"aets/internal/cluster"
 	"aets/internal/epoch"
@@ -39,6 +41,10 @@ type Config struct {
 	TraceOut string
 	// SetupReps is how many times set-up runs; setup_s is the median.
 	SetupReps int
+	// CatchupAfter is how many more catch-ups run after the paced phase,
+	// each into a fresh replica, so that the catch-up metrics, medians of
+	// all catch-ups, sample the host at both ends of the run.
+	CatchupAfter int
 	// Scale multiplies the catch-up size (smoke runs shrink it).
 	Scale float64
 	// Floors enforces the percentile sample-count floors.
@@ -407,12 +413,66 @@ func (m *maintenance) run(sp *spec, r *replica, floor *atomic.Int64, clk clock, 
 	}
 }
 
+// catchUp sends encs unpaced into an empty replica and waits until a
+// snapshot at the last one is admitted on every written table. It returns
+// the transactions per second from the first Send to that admission, the
+// drain from the last Send to it in ms, the process's processor time per
+// transaction over the same span in µs, and the run times of both ends.
+func catchUp(r *replica, encs []epoch.Encoded, st *stamps, written []wal.TableID, clk clock) (tps, drainMS, cpuUS float64, start, visible int64, err error) {
+	cpu0 := cpuTime()
+	start = clk.now()
+	txns := 0
+	for seq := range encs {
+		st.sendStart[seq] = clk.now()
+		if err := r.sender.Send(&encs[seq]); err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("catch-up send %d: %w", seq, err)
+		}
+		st.sendEnd[seq] = clk.now()
+		txns += encs[seq].TxnCount
+	}
+	lastSend := clk.now()
+	ts := encs[len(encs)-1].LastCommitTS
+	if sn := r.node.Query(ts, written...); sn.TS < ts {
+		return 0, 0, 0, 0, 0, fmt.Errorf("catch-up snapshot at %d below requested %d", sn.TS, ts)
+	}
+	visible = clk.now()
+	cpuUS = float64(cpuTime()-cpu0) / 1e3 / float64(txns)
+	return float64(txns) / (float64(visible-start) / 1e9), float64(visible-lastSend) / 1e6, cpuUS, start, visible, nil
+}
+
+// threadCPU returns the processor time the calling thread has used, in
+// nanoseconds.
+func threadCPU() int64 { return cpuClock(clockThreadCPUTime) }
+
+// cpuTime returns the processor time all of the process's threads have
+// used, in nanoseconds.
+func cpuTime() int64 { return cpuClock(clockProcessCPUTime) }
+
+// Linux's CPU-time clocks. getrusage would do for the process, but it
+// reports a thread's time in scheduler ticks, coarser than a query.
+const (
+	clockProcessCPUTime = 2
+	clockThreadCPUTime  = 3
+)
+
+func cpuClock(id uintptr) int64 {
+	var ts syscall.Timespec
+	if _, _, e := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, id, uintptr(unsafe.Pointer(&ts)), 0); e != 0 {
+		return 0
+	}
+	return ts.Nano()
+}
+
 // queryRec is what the query issuer records per query.
 type queryRec struct {
 	start, admitted, answered int64
-	digest                    uint64
-	err                       error
-	bad                       string // a snapshot-bound violation
+	cpu                       int64 // the issuing thread's processor time, admission to answer
+	// idle: the issuer had finished every earlier query by this one's
+	// due time and slept until it.
+	idle   bool
+	digest uint64
+	err    error
+	bad    string // a snapshot-bound violation
 }
 
 // Run executes one run of the configured workload.
@@ -423,6 +483,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.SetupReps <= 0 {
 		cfg.SetupReps = 3
+	}
+	if cfg.CatchupAfter <= 0 {
+		cfg.CatchupAfter = 3
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
@@ -452,9 +515,10 @@ func Run(cfg Config) (*Result, error) {
 	// Set-up and catch-up, several times: generate and encode the
 	// primary stream and bring up the replica and its link (setup_s),
 	// then send the catch-up epochs unpaced into the empty replica
-	// (catchup_txns_per_s). Both report the median over the repetitions;
-	// all but the last replica are torn down, the last one goes on to the
-	// paced phase.
+	// (catchup_cpu_us_per_txn and catchup_txns_per_s, which more
+	// catch-ups after the paced phase add to). Both report the median over the repetitions; all but the
+	// last replica are torn down, the last one goes on to the paced
+	// phase.
 	setupBuf, maintBuf := tr.buf(), tr.buf()
 	var (
 		s                *stream
@@ -465,6 +529,7 @@ func Run(cfg Config) (*Result, error) {
 		setupNS          []int64
 		genUS, encUS     []float64
 		catchTPS, drains []float64
+		catchCPU         []float64
 		catchStart       int64
 		catchVisible     int64
 		ms0, ms1         runtime.MemStats
@@ -523,22 +588,12 @@ func Run(cfg Config) (*Result, error) {
 
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
-		catchStart = clk.now()
-		for seq := 0; seq < catchEpochs; seq++ {
-			st.sendStart[seq] = clk.now()
-			if err := rep.sender.Send(&s.encs[seq]); err != nil {
-				return nil, fmt.Errorf("catch-up send %d: %w", seq, err)
-			}
-			st.sendEnd[seq] = clk.now()
+		tps, drain, cpu, t2, t3, err := catchUp(rep, s.encs[:catchEpochs], st, written, clk)
+		if err != nil {
+			return nil, err
 		}
-		lastSend := clk.now()
-		ts := s.encs[catchEpochs-1].LastCommitTS
-		if sn := rep.node.Query(ts, written...); sn.TS < ts {
-			return nil, fmt.Errorf("catch-up snapshot at %d below requested %d", sn.TS, ts)
-		}
-		catchVisible = clk.now()
-		catchTPS = append(catchTPS, float64(catchEpochs*sp.epochSize)/(float64(catchVisible-catchStart)/1e9))
-		drains = append(drains, float64(catchVisible-lastSend)/1e6)
+		catchTPS, drains, catchCPU = append(catchTPS, tps), append(drains, drain), append(catchCPU, cpu)
+		catchStart, catchVisible = t2, t3
 	}
 
 	// Paced phase: sender, freshness observer and query issuer run on
@@ -586,11 +641,16 @@ func Run(cfg Config) (*Result, error) {
 	go observe(written, coldWait, coldAt)
 	go func() { // query issuer
 		defer wg.Done()
+		// One thread, so that its processor time is the queries'.
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
 		for j := range queries {
 			q := &queries[j]
 			rc := &recs[j]
+			rc.idle = clk.now() < pacedStart+q.due
 			clk.sleepUntil(pacedStart + q.due)
 			floor.Store(q.ts)
+			cpu0 := threadCPU()
 			rc.start = clk.now()
 			adm, err := rep.router.Admit(q.ts, q.tables...)
 			rc.admitted = clk.now()
@@ -606,6 +666,7 @@ func Run(cfg Config) (*Result, error) {
 			rc.digest, rc.err = execQuery(sn, q.ts, q.ops, rc, clk, queryBuf, eid, j, opNS)
 			adm.Done()
 			rc.answered = clk.now()
+			rc.cpu = threadCPU() - cpu0
 			if cfg.corrupt != nil {
 				rc.digest = cfg.corrupt(j, rc.digest)
 			}
@@ -647,7 +708,7 @@ func Run(cfg Config) (*Result, error) {
 	// Attempted: every epoch sent (the repeated catch-ups included), every
 	// query and, below, every final check.
 	res := &Result{Correct: true}
-	res.Attempted = (cfg.SetupReps-1)*catchEpochs + total + nq
+	res.Attempted = (cfg.SetupReps-1+cfg.CatchupAfter)*catchEpochs + total + nq
 	for j := range recs {
 		if recs[j].err != nil {
 			res.Failed++
@@ -708,6 +769,39 @@ func Run(cfg Config) (*Result, error) {
 	runtime.ReadMemStats(&msHeap)
 	heapMB := float64(msHeap.HeapAlloc) / (1 << 20)
 
+	// The catch-ups after the paced phase, once its replica is measured
+	// and closed: a fresh replica each, fed the catch-up epochs of the
+	// same seed's whole stream, generated again outside every timer so
+	// that the heap around them is the one the first catch-ups saw.
+	shipped, lastTS := rep.shipped, rep.lastTS
+	rep.close()
+	rep = nil
+	if cfg.CatchupAfter > 0 {
+		cs := genStream(sp, cfg.Seed, total*sp.epochSize, clk)
+		if got, want := cs.encs[total-1].LastCommitTS, lastTS[total-1]; got != want {
+			return nil, fmt.Errorf("regenerated stream ends at ts %d, the run's at %d", got, want)
+		}
+		var cfloor atomic.Int64
+		cfloor.Store(lastTS[catchEpochs-1])
+		for i := 0; i < cfg.CatchupAfter; i++ {
+			cst := newStamps(catchEpochs)
+			rep, err = bringUp(sp, &cfg, clk, cst, cfg.SetupReps+i)
+			if err != nil {
+				return nil, fmt.Errorf("bring-up: %w", err)
+			}
+			rep.lastTS = lastTS
+			rep.startMaintenance(sp, &cfloor, clk, maintBuf)
+			runtime.GC()
+			tps, drain, cpu, _, _, err := catchUp(rep, cs.encs[:catchEpochs], cst, written, clk)
+			if err != nil {
+				return nil, err
+			}
+			catchTPS, drains, catchCPU = append(catchTPS, tps), append(drains, drain), append(catchCPU, cpu)
+			rep.close()
+			rep = nil
+		}
+	}
+
 	// Latency samples.
 	var freshHot, freshCold, hotLag, coldLag, arrive, sendLate []int64
 	for i := 0; i < paced; i++ {
@@ -721,6 +815,8 @@ func Run(cfg Config) (*Result, error) {
 		sendLate = append(sendLate, st.sendStart[seq]-d)
 	}
 	var qLat, qLate, admitNS, execNS []int64
+	typeLat := make([][]float64, sp.queryTypes)
+	typeCPU := make([][]float64, sp.queryTypes)
 	for j := range recs {
 		rc := &recs[j]
 		if rc.err != nil {
@@ -731,6 +827,15 @@ func Run(cfg Config) (*Result, error) {
 		qLate = append(qLate, rc.start-d)
 		admitNS = append(admitNS, rc.admitted-rc.start)
 		execNS = append(execNS, rc.answered-rc.admitted)
+		// Issued: the due time, unless the issuer was idle then and
+		// woke for the query after it (the runtime's timers wake up to
+		// about a millisecond late).
+		issued := d
+		if rc.idle {
+			issued = rc.start
+		}
+		typeLat[j%sp.queryTypes] = append(typeLat[j%sp.queryTypes], float64(rc.answered-issued)/1e6)
+		typeCPU[j%sp.queryTypes] = append(typeCPU[j%sp.queryTypes], float64(rc.cpu)/1e3)
 	}
 	var feedNS, sendNS []int64
 	for seq := 0; seq < total; seq++ {
@@ -788,33 +893,48 @@ func Run(cfg Config) (*Result, error) {
 	for i, v := range setupNS {
 		setupS[i] = float64(v) / 1e9
 	}
+	// A mix's median lands between the clusters its query types form, so
+	// a small shift in their shares moves it; the mean of the per-type
+	// medians does not have that step.
+	typeP50, typeCPUP50 := 0.0, 0.0
+	for k := range typeLat {
+		typeP50 += p(typeLat[k], 50) / float64(len(typeLat))
+		typeCPUP50 += p(typeCPU[k], 50) / float64(len(typeCPU))
+	}
+	// End to end are set-up time and processor time: on a shared host
+	// whose hypervisor takes back 5-25% of the vCPUs' time under load,
+	// every wall-clock rate and latency of the replica moved between
+	// runs by more than a bound could allow (see README).
 	res.EndToEnd = []Metric{
 		{"setup_s", "s", p(setupS, 50)},
-		{"catchup_txns_per_s", "txns/s", p(catchTPS, 50)},
-		{"query_p50_ms", "ms", p(ms(qLat), 50)},
+		{"catchup_cpu_us_per_txn", "us/txn", p(catchCPU, 50)},
+		{"query_cpu_us", "us", typeCPUP50},
 	}
 	nodeFeed, supFeed := mean(us(feedNS)), 0.0
 	if sp.durable {
 		nodeFeed, supFeed = 0, nodeFeed
 	}
 	opP50 := func(k opKind) float64 { return p(us(opNS[k]), 50) }
-	// Freshness, the query tail and the replica heap are reported with
-	// the layers: on a shared 2-vCPU host their run-to-run spread
-	// exceeds, on some workload, any bound that could gate a change (see
-	// README, "Seeds and steadiness").
+	// Catch-up rate, query latency, freshness and the replica heap are
+	// reported with the layers: on a shared 2-vCPU host their run-to-run
+	// spread exceeds, on some workload, any bound that could gate a
+	// change (see README, "Seeds and steadiness").
 	res.PerLayer = []Metric{
+		{"catchup_txns_per_s", "txns/s", p(catchTPS, 50)},
+		{"query_type_p50_ms", "ms", typeP50},
 		{"replica_heap_mb", "MB", heapMB},
 		{"fresh_hot_p50_ms", "ms", p(ms(freshHot), 50)},
 		{"fresh_cold_p50_ms", "ms", p(ms(freshCold), 50)},
 		{"fresh_hot_p90_ms", "ms", p(ms(freshHot), 90)},
 		{"fresh_cold_p90_ms", "ms", p(ms(freshCold), 90)},
+		{"query_p50_ms", "ms", p(ms(qLat), 50)},
 		{"query_p99_ms", "ms", p(ms(qLat), 99)},
 		{"primary.gen_us_per_txn", "us/txn", p(genUS, 50)},
 		{"epoch.encode_us_per_txn", "us/txn", p(encUS, 50)},
 		{"ship.send_block_ms", "ms", sum(ms(sendNS))},
 		{"ship.arrive_p50_ms", "ms", p(ms(arrive), 50)},
-		{"ship.wire_bytes_per_txn", "bytes/txn", float64(rep.shipped.BytesWire) / txnsTotal},
-		{"ship.raw_bytes_per_txn", "bytes/txn", float64(rep.shipped.BytesRaw) / txnsTotal},
+		{"ship.wire_bytes_per_txn", "bytes/txn", float64(shipped.BytesWire) / txnsTotal},
+		{"ship.raw_bytes_per_txn", "bytes/txn", float64(shipped.BytesRaw) / txnsTotal},
 		{"recovery.feed_us_per_epoch", "us/epoch", supFeed},
 		{"recovery.checkpoint_ms_p50", "ms", p(ms(mt.ckptNS), 50)},
 		{"recovery.spool_bytes_per_txn", "bytes/txn", float64(spoolBytes) / txnsTotal},
@@ -849,9 +969,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	fmt.Fprintf(log, "%s seed %d: epochs %d attempted (%d×%d catch-up, %d paced), 0 failed; queries %d attempted, %d failed; final checks %d attempted, %d failed\n",
-		sp.name, cfg.Seed, cfg.SetupReps*catchEpochs+paced, cfg.SetupReps, catchEpochs, paced, nq, res.Failed-failed, checks, failed)
-	fmt.Fprintf(log, "samples: fresh_* %d epochs, query_* %d queries, setup_s %d set-ups, vacuum %d, compact %d, checkpoint %d\n",
-		len(freshHot), len(qLat), len(setupNS), len(mt.vacuumNS), len(mt.compactNS), len(mt.ckptNS))
+		sp.name, cfg.Seed, (cfg.SetupReps+cfg.CatchupAfter)*catchEpochs+paced, cfg.SetupReps+cfg.CatchupAfter, catchEpochs, paced, nq, res.Failed-failed, checks, failed)
+	fmt.Fprintf(log, "catch-ups (txns/s, in run order): %.0f\n", catchTPS)
+	fmt.Fprintf(log, "samples: fresh_* %d epochs, query_* %d queries, setup_s %d set-ups, catchup_txns_per_s %d catch-ups, vacuum %d, compact %d, checkpoint %d\n",
+		len(freshHot), len(qLat), len(setupNS), len(catchTPS), len(mt.vacuumNS), len(mt.compactNS), len(mt.ckptNS))
 	return res, nil
 }
 

@@ -8,9 +8,9 @@ import (
 
 // smoke returns a tiny run of a workload with every correctness check
 // on: a tenth of the catch-up, one second of paced epochs and queries,
-// one set-up, no percentile floors.
+// one set-up, one catch-up after the paced phase, no percentile floors.
 func smoke(t *testing.T, wl string) Config {
-	return Config{Workload: wl, Seed: 7, Seconds: 1, WorkDir: t.TempDir(), SetupReps: 1, Scale: 0.1}
+	return Config{Workload: wl, Seed: 7, Seconds: 1, WorkDir: t.TempDir(), SetupReps: 1, CatchupAfter: 1, Scale: 0.1}
 }
 
 func TestSmokeEveryWorkload(t *testing.T) {
@@ -26,7 +26,7 @@ func TestSmokeEveryWorkload(t *testing.T) {
 			if len(res.EndToEnd) != 3 {
 				t.Fatalf("%d end-to-end metrics, want 3", len(res.EndToEnd))
 			}
-			for _, m := range append(res.EndToEnd, res.PerLayer[:6]...) {
+			for _, m := range append(res.EndToEnd, res.PerLayer[:9]...) {
 				if m.Value <= 0 {
 					t.Errorf("%s = %v, want > 0", m.Name, m.Value)
 				}

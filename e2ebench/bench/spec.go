@@ -27,6 +27,7 @@ type spec struct {
 	catchupTxns int // transactions sent unpaced into the empty replica
 	pacedRate   int // transactions per second in the paced phase
 	queryRate   int // queries per second in the paced phase
+	queryTypes  int // query i is of type i % queryTypes
 
 	columnar, compress, durable bool
 	sync                        recovery.SyncPolicy
@@ -79,6 +80,7 @@ var specs = []*spec{
 		catchupTxns: 30000,
 		pacedRate:   2500,
 		queryRate:   250,
+		queryTypes:  2,
 		// No vacuum: Record.Vacuum drops the older versions a partial-
 		// column update still reads through, and every TPC-C read here
 		// returns a whole row image (see CHANGES.md, FOUND).
@@ -93,8 +95,9 @@ var specs = []*spec{
 		},
 		epochSize:    50,
 		catchupTxns:  8000,
-		pacedRate:    750,
+		pacedRate:    375,
 		queryRate:    250,
+		queryTypes:   len(chQueries),
 		columnar:     true,
 		compress:     true,
 		vacuumEvery:  3,
@@ -111,8 +114,9 @@ var specs = []*spec{
 		},
 		epochSize:       1000,
 		catchupTxns:     30000,
-		pacedRate:       5250,
+		pacedRate:       2625,
 		queryRate:       250,
+		queryTypes:      len(busQueries),
 		durable:         true,
 		sync:            recovery.SyncNever,
 		checkpointEvery: 20,
